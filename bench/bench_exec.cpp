@@ -6,10 +6,12 @@
 // numbers (BENCH_PR5.json BM_*Threads, same sizes) are the comparison
 // baseline.
 //
-// Sizes: one in-cache size (1<<17 doubles = 1 MiB working set for a
-// binary kernel — compute-bound, where vector width shows directly) and
-// one streaming size (1<<20 — memory-bandwidth-bound, where SIMD
-// converges toward parity because loads dominate). On a single-core host
+// Sizes: one below a grain (4096 elements — the elementwise kernels take
+// the serial fallback and pay no scheduling), one in-cache size (1<<17
+// doubles = 1 MiB working set for a binary kernel — compute-bound, where
+// vector width shows directly) and one streaming size (1<<20 —
+// memory-bandwidth-bound, where SIMD converges toward parity because
+// loads dominate). On a single-core host
 // (the reference container) the thread axis is flat and the backend axis
 // carries the claim; the exec.* counters are machine-independent.
 //
@@ -127,7 +129,8 @@ void BM_ExecSpmv(benchmark::State& state) {
 }
 
 void backend_args(benchmark::internal::Benchmark* b) {
-  for (std::int64_t n : {std::int64_t{1} << 17, std::int64_t{1} << 20}) {
+  for (std::int64_t n :
+       {std::int64_t{4096}, std::int64_t{1} << 17, std::int64_t{1} << 20}) {
     for (int threads : {1, 2, 4, 8}) {
       for (px::Space space : kSpaces) {
         // The thread axis is meaningless for the serial space.

@@ -518,10 +518,11 @@ class Communicator {
     return CollFuture(std::move(state), this);
   }
 
-  /// Non-blocking allreduce (recursive doubling with the same
-  /// non-power-of-two fold/fan-back as the blocking path). `in`/`out`
-  /// must stay alive until the future completes; `out` must be sized like
-  /// `in` on every rank.
+  /// Non-blocking allreduce: the blocking kRecursiveDoubling schedule,
+  /// including its non-power-of-two fold/fan-back, so the result is
+  /// bit-identical to allreduce(..., kRecursiveDoubling). `in`/`out` must
+  /// stay alive until the future completes; `out` must be sized like `in`
+  /// on every rank.
   template <class T, class Op>
   CollFuture iallreduce(std::span<const T> in, std::span<T> out, Op op) {
     static_assert(std::is_trivially_copyable_v<T>);
@@ -727,37 +728,25 @@ class Communicator {
     if (p == 1 || in.empty()) return;  // same branch on every rank
     const std::size_t n = in.size();
 
-    // Non-power-of-two handling (both algorithms): the first 2*rem ranks
-    // fold pairwise onto the odd member, the surviving pof2 "core" ranks
-    // run the power-of-two schedule, and the result is fanned back out.
-    int pof2 = 1;
-    while (pof2 * 2 <= p) pof2 *= 2;
-    const int rem = p - pof2;
+    const Pof2Fold fold(p);
     std::vector<T> incoming(n);
-    int newrank;
-    if (rank_ < 2 * rem) {
-      if (rank_ % 2 == 0) {
+    if (fold.paired(rank_)) {
+      if (fold.folded_out(rank_)) {
         coll_send(std::as_bytes(std::span<const T>(out)), rank_ + 1,
                   coll_tag(seq, 0));
-        newrank = -1;  // folded out until the final fan-back
       } else {
         coll_recv_exact(std::as_writable_bytes(std::span<T>(incoming)),
                         rank_ - 1, coll_tag(seq, 0));
         combine(out, std::span<const T>(incoming), op);
-        newrank = rank_ / 2;
       }
-    } else {
-      newrank = rank_ - rem;
     }
 
-    // Maps a core rank back to its real rank.
-    auto real_of = [&](int nr) { return nr < rem ? nr * 2 + 1 : nr + rem; };
-
+    const int newrank = fold.core_rank(rank_);
     if (newrank >= 0) {
       if (algo == CollectiveAlgo::kRecursiveDoubling) {
-        int phase = 1;
-        for (int mask = 1; mask < pof2; mask <<= 1, ++phase) {
-          const int dst = real_of(newrank ^ mask);
+        for (int mask = 1; mask < fold.pof2; mask <<= 1) {
+          const int dst = fold.real_of(newrank ^ mask);
+          const int phase = 1 + phase_of(mask);
           coll_send(std::as_bytes(std::span<const T>(out)), dst,
                     coll_tag(seq, phase));
           coll_recv_exact(std::as_writable_bytes(std::span<T>(incoming)), dst,
@@ -766,20 +755,17 @@ class Communicator {
           combine(out, std::span<const T>(incoming), op);
         }
       } else {  // kRabenseifner
-        rabenseifner_core(out, op, seq, pof2, newrank, real_of);
+        rabenseifner_core(out, op, seq, fold, newrank);
       }
     }
 
-    // Fan the finished vector back to the folded-out even ranks. The phase
-    // index is fixed (not derived from the loop counters) so both sides of
-    // each pair agree regardless of the core schedule's depth.
-    if (rank_ < 2 * rem) {
-      if (rank_ % 2 == 0) {
+    if (fold.paired(rank_)) {
+      if (fold.folded_out(rank_)) {
         coll_recv_exact(std::as_writable_bytes(out), rank_ + 1,
-                        coll_tag(seq, kCollPhases - 1));
+                        coll_tag(seq, Pof2Fold::fan_back_phase()));
       } else {
         coll_send(std::as_bytes(std::span<const T>(out)), rank_ - 1,
-                  coll_tag(seq, kCollPhases - 1));
+                  coll_tag(seq, Pof2Fold::fan_back_phase()));
       }
     }
   }
@@ -1518,6 +1504,34 @@ class Communicator {
     send_buffer(Buffer::adopt(std::move(data)), dest, tag, /*internal=*/true);
   }
 
+  /// Non-power-of-two pairing of allreduce() and iallreduce(): with pof2
+  /// the largest power of two <= p and rem = p - pof2, the first 2*rem
+  /// ranks pair up and each even member folds its vector onto its odd
+  /// partner (phase 0). The pof2 surviving "core" ranks run the
+  /// power-of-two schedule, and each odd partner fans the result back at
+  /// fan_back_phase() — fixed, not derived from the loop counters, so both
+  /// sides of a pair agree regardless of the core schedule's depth.
+  struct Pof2Fold {
+    static int fan_back_phase() { return kCollPhases - 1; }
+    explicit Pof2Fold(int p) {
+      while (pof2 * 2 <= p) pof2 *= 2;
+      rem = p - pof2;
+    }
+    bool paired(int rank) const { return rank < 2 * rem; }
+    bool folded_out(int rank) const { return paired(rank) && rank % 2 == 0; }
+    /// Core rank of a real rank; -1 for a folded-out rank.
+    int core_rank(int rank) const {
+      if (!paired(rank)) return rank - rem;
+      return rank % 2 == 0 ? -1 : rank / 2;
+    }
+    /// Real rank of a core rank.
+    int real_of(int core) const {
+      return core < rem ? core * 2 + 1 : core + rem;
+    }
+    int pof2 = 1;
+    int rem = 0;
+  };
+
   // ---- non-blocking operation state machines -----------------------------
   // Each posted operation is a small state machine advanced by progress();
   // step() returns true when the operation is complete. They use only
@@ -1547,48 +1561,39 @@ class Communicator {
     RecvCallback cb_;
   };
 
-  /// Dissemination barrier, one round per step: at round k, notify rank
-  /// (me + 2^k) and wait for rank (me - 2^k). Same deadlock-free structure
-  /// as the blocking barrier, but each round's receive is a try_pop so the
-  /// whole machine lives inside progress().
+  /// Dissemination barrier, one round per step: barrier()'s peers and
+  /// tags, but each round's receive is a try_pop so the whole machine lives
+  /// inside progress().
   struct IBarrierOp final : NbOp {
     IBarrierOp(Communicator& comm, std::shared_ptr<NbCollState> state)
         : seq_(comm.next_seq()), state_(std::move(state)) {}
     bool step(Communicator& comm) override {
       const int p = comm.size();
-      while (round_ < rounds_needed(p)) {
-        const int dist = 1 << round_;
+      for (; k_ < p; k_ <<= 1) {
+        const int tag = comm.coll_tag(seq_, phase_of(k_));
         if (!sent_) {
-          comm.coll_send({}, (comm.rank_ + dist) % p, comm.coll_tag(seq_, round_));
+          comm.coll_send({}, dissemination_send_peer(comm.rank_, k_, p), tag);
           sent_ = true;
         }
-        const int src = (comm.rank_ - dist % p + p) % p;
         auto env = comm.ctx_->mailbox(comm.rank_).try_pop_matching(
-            src, comm.coll_tag(seq_, round_));
+            dissemination_recv_peer(comm.rank_, k_, p), tag);
         if (!env.has_value()) return false;
         comm.verify_integrity(*env);
         ++comm.stats().coll_messages_received;
-        ++round_;
         sent_ = false;
       }
       state_->done.store(true, std::memory_order_release);
       return true;
     }
-    static int rounds_needed(int p) {
-      int rounds = 0;
-      for (int dist = 1; dist < p; dist <<= 1) ++rounds;
-      return rounds;
-    }
     std::uint64_t seq_;
     std::shared_ptr<NbCollState> state_;
-    int round_ = 0;
+    int k_ = 1;  // round distance, as in barrier()
     bool sent_ = false;
   };
 
-  /// Non-blocking allreduce by recursive doubling, with the same
-  /// non-power-of-two fold/fan-back as the blocking path: extra ranks fold
-  /// their vector into a pof2 partner up front and receive the result back
-  /// at the end.
+  /// Non-blocking allreduce: allreduce()'s kRecursiveDoubling schedule
+  /// (same Pof2Fold pairing, phases and combine order) split into stages
+  /// that only try_pop, so the result is bit-identical to the blocking call.
   template <class T, class Op>
   struct IAllreduceOp final : NbOp {
     IAllreduceOp(Communicator& comm, std::span<const T> in, std::span<T> out,
@@ -1596,70 +1601,61 @@ class Communicator {
         : seq_(comm.next_seq()),
           out_(out),
           op_(op),
-          state_(std::move(state)) {
+          state_(std::move(state)),
+          fold_(comm.size()) {
       std::copy(in.begin(), in.end(), out_.begin());
-      pof2_ = 1;
-      while (pof2_ * 2 <= comm.size()) pof2_ *= 2;
-      rem_ = comm.size() - pof2_;
     }
     bool step(Communicator& comm) override {
       const int r = comm.rank_;
-      // Stage 0 — fold-in: ranks [pof2, p) send to (rank - pof2) and then
-      // just wait for the fan-back; their partners fold the contribution.
+      // Stage 0 — fold-in: even paired ranks send to their odd partner and
+      // skip to the fan-back; the partner combines before the core.
       if (stage_ == 0) {
-        if (r >= pof2_) {
-          if (!sent_) {
-            comm.coll_send(std::as_bytes(std::span<const T>(out_)), r - pof2_,
-                           comm.coll_tag(seq_, 0));
-            sent_ = true;
-          }
-          stage_ = 2;  // skip the core; wait for fan-back
-          sent_ = false;
-        } else if (r < rem_) {
-          if (!try_recv_combine(comm, r + pof2_, comm.coll_tag(seq_, 0))) {
+        if (fold_.folded_out(r)) {
+          comm.coll_send(std::as_bytes(std::span<const T>(out_)), r + 1,
+                         comm.coll_tag(seq_, 0));
+          stage_ = 2;
+        } else {
+          if (fold_.paired(r) &&
+              !try_recv_combine(comm, r - 1, comm.coll_tag(seq_, 0))) {
             return false;
           }
           stage_ = 1;
-          sent_ = false;
-        } else {
-          stage_ = 1;
-          sent_ = false;
         }
       }
       // Stage 1 — recursive doubling among the pof2 core ranks.
       if (stage_ == 1) {
-        while (mask_ < pof2_) {
-          const int dst = r ^ mask_;
-          const int phase = 1 + phase_of(mask_);
+        const int newrank = fold_.core_rank(r);
+        while (mask_ < fold_.pof2) {
+          const int dst = fold_.real_of(newrank ^ mask_);
+          const int tag = comm.coll_tag(seq_, 1 + phase_of(mask_));
           if (!sent_) {
-            comm.coll_send(std::as_bytes(std::span<const T>(out_)), dst,
-                           comm.coll_tag(seq_, phase));
+            comm.coll_send(std::as_bytes(std::span<const T>(out_)), dst, tag);
             sent_ = true;
           }
-          if (!try_recv_combine(comm, dst, comm.coll_tag(seq_, phase))) {
-            return false;
-          }
+          if (!try_recv_combine(comm, dst, tag)) return false;
           mask_ <<= 1;
           sent_ = false;
         }
         stage_ = 2;
       }
-      // Stage 2 — fan-back to/from the folded-in extra ranks.
-      if (r < rem_) {
-        comm.coll_send(std::as_bytes(std::span<const T>(out_)), r + pof2_,
-                       comm.coll_tag(seq_, 1 + phase_of(pof2_)));
-      } else if (r >= pof2_) {
-        auto env = comm.ctx_->mailbox(comm.rank_).try_pop_matching(
-            r - pof2_, comm.coll_tag(seq_, 1 + phase_of(pof2_)));
-        if (!env.has_value()) return false;
-        comm.verify_integrity(*env);
-        auto& s = comm.stats();
-        ++s.coll_messages_received;
-        s.coll_bytes_received += env->payload.size();
-        require<CommError>(env->payload.size() == out_.size() * sizeof(T),
-                           "iallreduce: unexpected message size");
-        if (!env->payload.empty()) {
-          std::memcpy(out_.data(), env->payload.data(), env->payload.size());
+      // Stage 2 — fan-back from the odd partner to the folded-out rank.
+      if (fold_.paired(r)) {
+        const int tag = comm.coll_tag(seq_, Pof2Fold::fan_back_phase());
+        if (!fold_.folded_out(r)) {
+          comm.coll_send(std::as_bytes(std::span<const T>(out_)), r - 1, tag);
+        } else {
+          auto env =
+              comm.ctx_->mailbox(comm.rank_).try_pop_matching(r + 1, tag);
+          if (!env.has_value()) return false;
+          comm.verify_integrity(*env);
+          auto& s = comm.stats();
+          ++s.coll_messages_received;
+          s.coll_bytes_received += env->payload.size();
+          require<CommError>(env->payload.size() == out_.size() * sizeof(T),
+                             "iallreduce: unexpected message size");
+          if (!env->payload.empty()) {
+            std::memcpy(out_.data(), env->payload.data(), env->payload.size());
+          }
         }
       }
       state_->done.store(true, std::memory_order_release);
@@ -1689,8 +1685,7 @@ class Communicator {
     std::span<T> out_;
     Op op_;
     std::shared_ptr<NbCollState> state_;
-    int pof2_ = 1;
-    int rem_ = 0;
+    Pof2Fold fold_;
     int stage_ = 0;
     int mask_ = 1;
     bool sent_ = false;
@@ -1988,9 +1983,10 @@ class Communicator {
   /// Rabenseifner core among the pof2 surviving ranks: recursive-halving
   /// reduce-scatter, then recursive-doubling allgather over the same chunk
   /// layout. `buf` is this rank's working vector and receives the result.
-  template <class T, class Op, class RealOf>
-  void rabenseifner_core(std::span<T> buf, Op op, std::uint64_t seq, int pof2,
-                         int newrank, RealOf real_of) {
+  template <class T, class Op>
+  void rabenseifner_core(std::span<T> buf, Op op, std::uint64_t seq,
+                         const Pof2Fold& fold, int newrank) {
+    const int pof2 = fold.pof2;
     const std::size_t n = buf.size();
     // pof2 nearly-equal contiguous chunks (first n % pof2 get one extra).
     std::vector<std::size_t> disp(static_cast<std::size_t>(pof2) + 1, 0);
@@ -2012,7 +2008,7 @@ class Communicator {
     // each round trades away the half not containing chunk `newrank`.
     int lo = 0, hi = pof2;
     for (int mask = pof2 / 2; mask > 0; mask >>= 1, ++phase) {
-      const int dst = real_of(newrank ^ mask);
+      const int dst = fold.real_of(newrank ^ mask);
       const int mid = lo + (hi - lo) / 2;
       const bool keep_low = (newrank & mask) == 0;
       const int slo = keep_low ? mid : lo;
@@ -2033,7 +2029,7 @@ class Communicator {
     // Allgather by recursive doubling over aligned chunk blocks.
     for (int mask = 1; mask < pof2; mask <<= 1, ++phase) {
       const int newdst = newrank ^ mask;
-      const int dst = real_of(newdst);
+      const int dst = fold.real_of(newdst);
       const int mylo = newrank & ~(mask - 1);
       const int peerlo = newdst & ~(mask - 1);
       coll_send(std::as_bytes(std::span<const T>(range(mylo, mylo + mask))),

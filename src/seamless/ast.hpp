@@ -1,6 +1,6 @@
-// Abstract syntax tree for MiniPy. Nodes carry a kind tag so the three
-// back-ends (tree-walking interpreter, bytecode compiler, typed JIT) can
-// switch-dispatch without RTTI.
+// Abstract syntax tree for MiniPy. Nodes carry a kind tag so the two
+// back-ends (tree-walking interpreter, typed JIT) can switch-dispatch
+// without RTTI; the static transpiler works from the JIT's typed code.
 #pragma once
 
 #include <cstdint>

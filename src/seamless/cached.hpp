@@ -1,8 +1,8 @@
 // Setup-cache adapter for compiled Seamless engines (DESIGN.md §10).
-// Engine construction runs the whole front end (lex/parse/compile for all
-// tiers); service clients resubmitting the same source text — the common
-// case for a shared analysis function — hit the cache and share one
-// immutable-module Engine per distinct program.
+// Engine construction runs the whole front end (lex/parse), and each Engine
+// keeps its own per-signature JIT cache; service clients resubmitting the
+// same source text — the common case for a shared analysis function — hit
+// the cache and share one immutable-module Engine per distinct program.
 //
 // The key is a fingerprint of the *source text*, so textually identical
 // programs share and any edit (even whitespace) rebuilds — cheap, exact,

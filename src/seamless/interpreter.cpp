@@ -22,8 +22,6 @@ void expect_arity(const std::string& name, std::span<const Value> args,
   }
 }
 
-}  // namespace
-
 void install_default_builtins(std::map<std::string, BuiltinFn>& builtins) {
   builtins["len"] = [](std::span<const Value> args) {
     expect_arity("len", args, 1);
@@ -73,6 +71,8 @@ void install_default_builtins(std::map<std::string, BuiltinFn>& builtins) {
         std::vector<double>(static_cast<std::size_t>(args[0].to_int()), 0.0)));
   };
 }
+
+}  // namespace
 
 Interpreter::Interpreter(const Module& module) : module_(&module) {
   for (const auto& fn : module.functions) {

@@ -22,6 +22,16 @@ std::string jit_type_name(JitType t) {
   return "?";
 }
 
+std::string signature_key(const std::string& name,
+                          const std::vector<JitType>& types) {
+  std::string key = name;
+  for (auto t : types) {
+    key += '/';
+    key += jit_type_name(t);
+  }
+  return key;
+}
+
 JitType jit_type_of(const Value& v) {
   if (v.is_bool()) return JitType::kBool;
   if (v.is_int()) return JitType::kInt;
@@ -266,8 +276,7 @@ class TypeInferencer {
   JitType callee_return_type(const FunctionDef& fn,
                              const std::vector<JitType>& types,
                              int line) const {
-    std::string key = fn.name;
-    for (auto t : types) key += "/" + jit_type_name(t);
+    const std::string key = signature_key(fn.name, types);
     thread_local std::set<std::string> in_progress;
     if (in_progress.count(key)) {
       not_jittable(line, "recursive call to '" + fn.name +
@@ -692,8 +701,7 @@ class JitCompiler {
       site.args.emplace_back(v.type, v.reg);
       types.push_back(v.type);
     }
-    std::string key = callee.name;
-    for (auto t : types) key += "/" + jit_type_name(t);
+    const std::string key = signature_key(callee.name, types);
     auto it = callee_cache_.find(key);
     if (it == callee_cache_.end()) {
       auto compiled = std::make_shared<JitFunction>(

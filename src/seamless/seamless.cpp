@@ -8,12 +8,9 @@
 namespace pyhpc::seamless {
 
 Engine::Engine(const std::string& source)
-    : module_(parse(source)), interp_(module_), vm_(module_) {}
+    : module_(parse(source)), interp_(module_) {}
 
-void Engine::bind(const CModule& module) {
-  module.install_into(interp_);
-  module.install_into(vm_);
-}
+void Engine::bind(const CModule& module) { module.install_into(interp_); }
 
 Value Engine::run(const std::string& name, std::vector<Value> args) {
   const FunctionDef& fn = module_.function(name);
@@ -21,7 +18,7 @@ Value Engine::run(const std::string& name, std::vector<Value> args) {
     try {
       return run_jit(name, args);
     } catch (const NotJittable&) {
-      return run_vm(name, std::move(args));
+      return run_interpreted(name, std::move(args));
     }
   }
   return run_interpreted(name, std::move(args));
@@ -39,8 +36,7 @@ Value Engine::run_jit(const std::string& name, std::vector<Value> args) {
 
 const JitFunction& Engine::jit(const std::string& name,
                                const std::vector<JitType>& param_types) {
-  std::string key = name;
-  for (auto t : param_types) key += "/" + jit_type_name(t);
+  const std::string key = signature_key(name, param_types);
   auto it = jit_cache_.find(key);
   if (it == jit_cache_.end()) {
     obs::Span span("jit.compile", "seamless");

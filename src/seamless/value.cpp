@@ -86,7 +86,10 @@ std::string Value::repr() const {
   if (is_list()) {
     std::vector<std::string> parts;
     for (const auto& item : as_list()->items) parts.push_back(item.repr());
-    return "[" + util::join(parts, ", ") + "]";
+    std::string out = "[";
+    out += util::join(parts, ", ");
+    out += ']';
+    return out;
   }
   if (is_array()) {
     return util::cat("array(n=", as_array()->size, ")");

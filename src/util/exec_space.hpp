@@ -37,10 +37,9 @@
 // combine callables under every space: chunk boundaries depend only on
 // `grain` (never on thread count or backend), each chunk is folded by the
 // caller's `fold(lo, hi)` exactly as written, and chunk partials combine
-// in a fixed-shape pairwise tree — the identical algorithm to
-// TaskPool::parallel_reduce. Backends differ only in *which thread* runs
-// each chunk, so reductions are bit-identical across all three spaces and
-// every thread count by construction. Corollary: the SIMD backend never
+// in a fixed-shape pairwise tree. Backends differ only in *which thread*
+// runs each chunk, so reductions are bit-identical across all three spaces
+// and every thread count by construction. Corollary: the SIMD backend never
 // vectorizes a reduction fold (that would reorder the accumulation); it
 // accelerates elementwise for_each bodies only.
 //
@@ -304,8 +303,8 @@ T transform_reduce(Space space, std::int64_t begin, std::int64_t end,
             fold(lo, hi);
       });
 
-  // Fixed-shape pairwise tree — the same shape TaskPool::parallel_reduce
-  // uses, so results match the PR 5 pool bit for bit.
+  // Fixed-shape pairwise tree: (p0⊕p1) ⊕ (p2⊕p3) ... independent of how
+  // chunks were scheduled onto lanes.
   std::vector<T> level = std::move(partials);
   while (level.size() > 1) {
     std::vector<T> next;

@@ -9,8 +9,10 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "util/error.hpp"
 
 namespace pyhpc::util {
@@ -227,8 +229,8 @@ void TaskPool::parallel_for(std::int64_t begin, std::int64_t end,
   if (end - begin <= grain || lanes_ == 1 || t_in_region) {
     // Serial fallback: tiny range, serial pool, or nested region. Runs
     // inline with no scheduling, no metrics, no span — but still chunk by
-    // chunk: parallel_reduce's determinism needs the same chunk boundaries
-    // whether or not the pool scheduled the region.
+    // chunk: exec::transform_reduce's determinism needs the same chunk
+    // boundaries whether or not the pool scheduled the region.
     impl_->serial_regions.fetch_add(1, std::memory_order_relaxed);
     for (std::int64_t lo = begin; lo < end; lo += grain) {
       body(lo, std::min(end, lo + grain));

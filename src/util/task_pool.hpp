@@ -21,25 +21,21 @@
 // layer — region bodies are pure local compute; collectives stay on the
 // rank thread.
 //
-// Determinism: parallel_reduce chunks by `grain` alone — never by thread
-// count — folds each chunk left-to-right, and combines the chunk partials
-// in a fixed-shape pairwise tree. The result is bit-identical for any
-// thread count: the serial fallback walks the very same chunks inline, so
-// even a 1-lane pool produces the same partials and the same tree.
+// Determinism: chunk boundaries depend on `grain` alone — never on thread
+// count — and the serial fallback walks the very same chunks inline, so a
+// per-chunk result does not depend on how chunks were scheduled. The
+// deterministic reduction built on this is exec::transform_reduce
+// (util/exec_space.hpp).
 //
 // Observability: each parallel region records an obs span
-// ("pool.parallel_for" / "pool.parallel_reduce", category "pool") carrying
-// threads/grain/n/tasks args, and folds pool.regions / pool.tasks /
-// pool.steals counters plus the pool.threads max-gauge into the global
-// MetricsRegistry. Serial-fallback regions skip all of it.
+// ("pool.parallel_for", category "pool") carrying threads/grain/n/tasks
+// args, and folds pool.regions / pool.tasks / pool.steals counters plus
+// the pool.threads max-gauge into the global MetricsRegistry.
+// Serial-fallback regions skip all of it.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <utility>
-#include <vector>
-
-#include "obs/trace.hpp"
 
 namespace pyhpc::util {
 
@@ -84,48 +80,6 @@ class TaskPool {
   void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
                     const Body& body);
 
-  /// Deterministic tree reduction. `fold(lo, hi) -> T` computes one chunk's
-  /// partial (left-to-right); `combine(a, b) -> T` merges two partials and
-  /// is applied in a fixed-shape pairwise tree over the chunk sequence.
-  /// Chunking depends only on `grain`, so the result is bit-identical
-  /// across thread counts. `identity` is returned for an empty range only;
-  /// fold itself must seed each chunk (with the op's identity or the
-  /// chunk's first element, whichever the reduction needs).
-  template <class T, class Fold, class Combine>
-  T parallel_reduce(std::int64_t begin, std::int64_t end, std::int64_t grain,
-                    T identity, Fold&& fold, Combine&& combine) {
-    if (end <= begin) return identity;
-    if (grain < 1) grain = 1;
-    const std::int64_t nchunks = (end - begin + grain - 1) / grain;
-    if (nchunks == 1) return fold(begin, end);
-
-    obs::Span span("pool.parallel_reduce", "pool");
-    if (span.active()) {
-      span.arg("threads", static_cast<std::int64_t>(threads()));
-      span.arg("grain", grain);
-      span.arg("n", end - begin);
-    }
-    std::vector<T> partials(static_cast<std::size_t>(nchunks), identity);
-    parallel_for(begin, end, grain,
-                 [&](std::int64_t lo, std::int64_t hi) {
-                   partials[static_cast<std::size_t>((lo - begin) / grain)] =
-                       fold(lo, hi);
-                 });
-    // Fixed-shape pairwise tree: (p0⊕p1) ⊕ (p2⊕p3) ... independent of how
-    // chunks were scheduled onto lanes.
-    std::vector<T> level = std::move(partials);
-    while (level.size() > 1) {
-      std::vector<T> next;
-      next.reserve((level.size() + 1) / 2);
-      for (std::size_t i = 0; i + 1 < level.size(); i += 2) {
-        next.push_back(combine(std::move(level[i]), std::move(level[i + 1])));
-      }
-      if (level.size() % 2 == 1) next.push_back(std::move(level.back()));
-      level = std::move(next);
-    }
-    return std::move(level.front());
-  }
-
   /// Lifetime totals for this pool (monotone; also folded into the global
   /// MetricsRegistry as pool.* after every parallel region).
   struct Stats {
@@ -150,15 +104,6 @@ class TaskPool {
 inline void parallel_for(std::int64_t begin, std::int64_t end,
                          std::int64_t grain, const TaskPool::Body& body) {
   TaskPool::current().parallel_for(begin, end, grain, body);
-}
-
-template <class T, class Fold, class Combine>
-T parallel_reduce(std::int64_t begin, std::int64_t end, std::int64_t grain,
-                  T identity, Fold&& fold, Combine&& combine) {
-  return TaskPool::current().parallel_reduce(begin, end, grain,
-                                             std::move(identity),
-                                             std::forward<Fold>(fold),
-                                             std::forward<Combine>(combine));
 }
 
 }  // namespace pyhpc::util

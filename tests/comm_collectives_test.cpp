@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <numeric>
@@ -374,6 +375,36 @@ TEST(CollBarrier, BarrierCompletesAtAllRankCounts) {
     pc::run(p, [](pc::Communicator& comm) {
       for (int i = 0; i < 5; ++i) comm.barrier();
       EXPECT_EQ(comm.stats().collectives, 5u);
+    });
+  }
+}
+
+// ---- non-blocking allreduce == blocking allreduce, bit for bit -------------
+
+// Contributions chosen so that floating-point sums depend on the pairing:
+// 1e16 absorbs small addends, so a different fold order yields a different
+// double. iallreduce must follow allreduce(kRecursiveDoubling)'s schedule
+// exactly, including the non-power-of-two fold, at every rank count.
+TEST(CollNonBlocking, IAllreduceBitIdenticalToBlockingAtAllRankCounts) {
+  const double contrib[] = {1e16, 1.0, -1e16, 3.0, 1e-3, -7.5, 2.0, 0.25};
+  for (int p = 1; p <= 8; ++p) {
+    pc::run(p, [&contrib, p](pc::Communicator& comm) {
+      const auto r = static_cast<std::size_t>(comm.rank());
+      // Element 1 rotates the contributions so a second pairing is checked.
+      const std::vector<double> in{contrib[r],
+                                   contrib[(r + 3) % 8] * 0.5 + contrib[r]};
+      std::vector<double> blocking(in.size()), nonblocking(in.size());
+      comm.allreduce(std::span<const double>(in), std::span<double>(blocking),
+                     std::plus<double>{}, CollectiveAlgo::kRecursiveDoubling);
+      comm.iallreduce(std::span<const double>(in),
+                      std::span<double>(nonblocking), std::plus<double>{})
+          .wait();
+      for (std::size_t i = 0; i < in.size(); ++i) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(nonblocking[i]),
+                  std::bit_cast<std::uint64_t>(blocking[i]))
+            << "p=" << p << " rank=" << r << " i=" << i << ": "
+            << nonblocking[i] << " vs " << blocking[i];
+      }
     });
   }
 }

@@ -10,6 +10,7 @@
 // sharing patterns.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
@@ -162,26 +163,39 @@ TEST(ExecSpace, ReduceBitIdenticalAcrossBackendsAndThreadCountsAndGrains) {
 }
 
 TEST(ExecSpace, ReduceMatchesTaskPoolParallelReduceBitForBit) {
-  // The layer replaces util::parallel_reduce at every kernel call site;
-  // the PR 5 pool result is the compatibility baseline.
+  // Naive serial oracle of the reduction tree every space must reproduce:
+  // fold each grain-sized chunk left to right, then merge the partials
+  // level by level as (p0+p1) + (p2+p3) ..., carrying an odd tail up
+  // unchanged.
   ThreadScope scope(4);
   const auto v = nasty_values(123457);
+  const auto n = static_cast<std::int64_t>(v.size());
   const double* d = v.data();
   auto fold = [d](std::int64_t lo, std::int64_t hi) {
     double a = 0.0;
     for (std::int64_t i = lo; i < hi; ++i) a += d[i];
     return a;
   };
-  auto combine = [](double a, double b) { return a + b; };
-  const double pool_result =
-      pu::parallel_reduce(0, static_cast<std::int64_t>(v.size()),
-                          pu::kDefaultGrain, 0.0, fold, combine);
+  std::vector<double> level;
+  for (std::int64_t lo = 0; lo < n; lo += pu::kDefaultGrain) {
+    level.push_back(fold(lo, std::min(n, lo + pu::kDefaultGrain)));
+  }
+  ASSERT_GT(level.size(), 2u);
+  while (level.size() > 1) {
+    std::vector<double> next;
+    for (std::size_t i = 0; i < level.size(); i += 2) {
+      next.push_back(i + 1 < level.size() ? level[i] + level[i + 1]
+                                          : level[i]);
+    }
+    level = std::move(next);
+  }
+  const double oracle = level.front();
   for (px::Space space : kAllSpaces) {
-    const double got = px::transform_reduce(
-        space, 0, static_cast<std::int64_t>(v.size()), pu::kDefaultGrain, 0.0,
-        fold, combine);
+    const double got =
+        px::transform_reduce(space, 0, n, pu::kDefaultGrain, 0.0, fold,
+                             [](double a, double b) { return a + b; });
     EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
-              std::bit_cast<std::uint64_t>(pool_result))
+              std::bit_cast<std::uint64_t>(oracle))
         << px::space_name(space);
   }
 }

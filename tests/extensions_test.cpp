@@ -50,15 +50,17 @@ TEST(JitDecorator, RunDispatchesDecoratedFunctionsToJit) {
   EXPECT_EQ(engine.jit_cache_size(), 1u);  // slow stayed interpreted
 }
 
-TEST(JitDecorator, FallsBackToVmOutsideTypedSubset) {
+TEST(JitDecorator, FallsBackToInterpreterOutsideTypedSubset) {
   // The paper's "staged and incremental approach": @jit code using dynamic
-  // features still runs (through the boxed tier) instead of failing.
+  // features still runs (through the interpreter) instead of failing.
   sm::Engine engine(
       "@jit\n"
       "def dyn(n):\n"
       "    xs = list(n)\n"
       "    return len(xs)\n");
   EXPECT_EQ(engine.run("dyn", {Value::of(4)}).as_int(), 4);
+  EXPECT_EQ(engine.run("dyn", {Value::of(4)}).repr(),
+            engine.run_interpreted("dyn", {Value::of(4)}).repr());
   EXPECT_EQ(engine.jit_cache_size(), 0u);  // nothing compiled
 }
 

@@ -1,6 +1,6 @@
-// Tests for the VM and JIT tiers: exact semantic equivalence with the
-// interpreter (including a randomized-program sweep), JIT type discovery,
-// NotJittable fallbacks, FFI, and the embed API.
+// Tests for the JIT tier: exact semantic equivalence with the interpreter
+// (including a randomized-program sweep), JIT type discovery, NotJittable
+// fallbacks, FFI, and the embed API.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,25 +13,21 @@ using sm::Value;
 
 namespace {
 
-// Runs a function through all three tiers and checks they agree; returns
-// the interpreter's result. `jittable` = false skips the JIT tier.
+// Runs a function through the interpreter and the JIT and checks they
+// agree; returns the interpreter's result.
 Value run_all_tiers(const std::string& source, const std::string& fn,
-                    std::vector<Value> args, bool jittable = true) {
+                    std::vector<Value> args) {
   sm::Engine engine(source);
   Value vi = engine.run_interpreted(fn, args);
-  Value vv = engine.run_vm(fn, args);
-  EXPECT_EQ(vi.repr(), vv.repr()) << fn << ": interpreter vs VM";
-  if (jittable) {
-    Value vj = engine.run_jit(fn, args);
-    // JIT promotes bools to ints in arithmetic identically; compare
-    // numerically for numbers, repr otherwise.
-    if (vi.is_numeric() && vj.is_numeric()) {
-      EXPECT_DOUBLE_EQ(vi.to_double(), vj.to_double())
-          << fn << ": interpreter vs JIT";
-      EXPECT_EQ(vi.is_float(), vj.is_float()) << fn << ": type drift";
-    } else {
-      EXPECT_EQ(vi.repr(), vj.repr());
-    }
+  Value vj = engine.run_jit(fn, args);
+  // JIT promotes bools to ints in arithmetic identically; compare
+  // numerically for numbers, repr otherwise.
+  if (vi.is_numeric() && vj.is_numeric()) {
+    EXPECT_DOUBLE_EQ(vi.to_double(), vj.to_double())
+        << fn << ": interpreter vs JIT";
+    EXPECT_EQ(vi.is_float(), vj.is_float()) << fn << ": type drift";
+  } else {
+    EXPECT_EQ(vi.repr(), vj.repr());
   }
   return vi;
 }
@@ -92,16 +88,16 @@ TEST(Tiers, ArrayWritesVisibleToCaller) {
       "    for i in range(len(a)):\n"
       "        a[i] = a[i] * s\n"
       "    return 0\n";
-  for (int tier = 0; tier < 3; ++tier) {
+  for (const bool jit : {false, true}) {
     sm::Engine engine(src);
     auto arr = sm::ArrayValue::owned({1.0, 2.0, 3.0});
     std::vector<Value> args{Value::of(arr), Value::of(2.0)};
-    switch (tier) {
-      case 0: engine.run_interpreted("scale", args); break;
-      case 1: engine.run_vm("scale", args); break;
-      default: engine.run_jit("scale", args); break;
+    if (jit) {
+      engine.run_jit("scale", args);
+    } else {
+      engine.run_interpreted("scale", args);
     }
-    EXPECT_DOUBLE_EQ(arr->data[2], 6.0) << "tier " << tier;
+    EXPECT_DOUBLE_EQ(arr->data[2], 6.0) << (jit ? "jit" : "interpreter");
   }
 }
 
@@ -128,11 +124,39 @@ TEST(Tiers, BreakContinueNestedLoops) {
     }
   }
   EXPECT_EQ(v.as_int(), want);
+
+  // `continue` inside `while` skips the rest of the body only.
+  const std::string while_src =
+      "def f(n):\n"
+      "    total = 0\n"
+      "    i = 0\n"
+      "    while i < n:\n"
+      "        i += 1\n"
+      "        if i % 3 == 0:\n"
+      "            continue\n"
+      "        total += i\n"
+      "    return total\n";
+  int want_while = 0;
+  for (int i = 1; i <= 20; ++i) {
+    if (i % 3 != 0) want_while += i;
+  }
+  EXPECT_EQ(run_all_tiers(while_src, "f", {Value::of(20)}).as_int(),
+            want_while);
+
+  // Reassigning the loop variable does not change the iteration.
+  const std::string reassign_src =
+      "def f():\n"
+      "    total = 0\n"
+      "    for i in range(5):\n"
+      "        i = 100\n"
+      "        total += 1\n"
+      "    return total\n";
+  EXPECT_EQ(run_all_tiers(reassign_src, "f", {}).as_int(), 5);
 }
 
 TEST(Tiers, RandomizedProgramEquivalence) {
   // Property sweep: generated straight-line integer programs with loops and
-  // conditionals must agree across all three tiers.
+  // conditionals must agree between the interpreter and the JIT.
   pyhpc::util::Xoshiro256 rng(2024);
   for (int trial = 0; trial < 40; ++trial) {
     const std::int64_t c1 = rng.next_int(1, 9);
@@ -156,47 +180,6 @@ TEST(Tiers, RandomizedProgramEquivalence) {
     const auto b = rng.next_int(-20, 20);
     run_all_tiers(src, "f", {Value::of(a), Value::of(b)});
   }
-}
-
-// ---------------------------------------------------------------------------
-// VM specifics
-// ---------------------------------------------------------------------------
-
-TEST(Vm, DisassemblyIsReadable) {
-  sm::Module mod = sm::parse(
-      "def f(x):\n"
-      "    return x + 1\n");
-  sm::VirtualMachine vm(mod);
-  const std::string dis = vm.compiled("f").disassemble();
-  EXPECT_NE(dis.find("LOAD_LOCAL"), std::string::npos);
-  EXPECT_NE(dis.find("BINARY"), std::string::npos);
-  EXPECT_NE(dis.find("RETURN_VALUE"), std::string::npos);
-}
-
-TEST(Vm, UndefinedLocalFaultsLikeInterpreter) {
-  const std::string src =
-      "def f(flag):\n"
-      "    if flag:\n"
-      "        x = 1\n"
-      "    return x\n";
-  sm::Engine engine(src);
-  EXPECT_EQ(engine.run_vm("f", {Value::of(true)}).as_int(), 1);
-  EXPECT_THROW(engine.run_vm("f", {Value::of(false)}), pyhpc::RuntimeFault);
-  EXPECT_THROW(engine.run_interpreted("f", {Value::of(false)}),
-               pyhpc::RuntimeFault);
-}
-
-TEST(Vm, LoopVarReassignmentDoesNotChangeIteration) {
-  const std::string src =
-      "def f():\n"
-      "    total = 0\n"
-      "    for i in range(5):\n"
-      "        i = 100\n"
-      "        total += 1\n"
-      "    return total\n";
-  sm::Engine engine(src);
-  EXPECT_EQ(engine.run_interpreted("f", {}).as_int(), 5);
-  EXPECT_EQ(engine.run_vm("f", {}).as_int(), 5);
 }
 
 // ---------------------------------------------------------------------------
@@ -226,14 +209,14 @@ TEST(Jit, SignatureCachePerTypes) {
 }
 
 TEST(Jit, NotJittableFallbacks) {
-  // Lists are dynamic -> NotJittable; the VM still handles it.
+  // Lists are dynamic -> NotJittable; the interpreter still handles it.
   const std::string src =
       "def f(n):\n"
       "    xs = list(n)\n"
       "    return len(xs)\n";
   sm::Engine engine(src);
   EXPECT_THROW(engine.run_jit("f", {Value::of(3)}), sm::NotJittable);
-  EXPECT_EQ(engine.run_vm("f", {Value::of(3)}).as_int(), 3);
+  EXPECT_EQ(engine.run_interpreted("f", {Value::of(3)}).as_int(), 3);
 
   // Polymorphic variable -> NotJittable.
   sm::Engine e2(
@@ -326,7 +309,7 @@ TEST(Ffi, MissingLibraryOrSymbolThrows) {
                pyhpc::RuntimeFault);
 }
 
-TEST(Ffi, InstallIntoInterpreterAndVm) {
+TEST(Ffi, InstallIntoInterpreter) {
   // MiniPy code calling straight into libm through the injected namespace.
   const std::string src =
       "def angle(y, x):\n"
@@ -336,9 +319,6 @@ TEST(Ffi, InstallIntoInterpreterAndVm) {
   const double want = std::atan2(1.0, 1.0);
   EXPECT_DOUBLE_EQ(
       engine.run_interpreted("angle", {Value::of(1.0), Value::of(1.0)}).as_float(),
-      want);
-  EXPECT_DOUBLE_EQ(
-      engine.run_vm("angle", {Value::of(1.0), Value::of(1.0)}).as_float(),
       want);
 }
 

@@ -4,7 +4,9 @@
 
 #include "seamless/ast.hpp"
 #include "seamless/interpreter.hpp"
+#include "seamless/seamless.hpp"
 #include "seamless/token.hpp"
+#include "util/random.hpp"
 
 namespace sm = pyhpc::seamless;
 using sm::Value;
@@ -201,6 +203,27 @@ TEST(Interp, RecursionAndMultipleFunctions) {
       "    return 2 * fib(n)\n";
   EXPECT_EQ(run(src, "fib", {Value::of(10)}).as_int(), 55);
   EXPECT_EQ(run(src, "double_fib", {Value::of(10)}).as_int(), 110);
+
+  // Seeded sweep of f(n) = f(n-1) + k*f(n-2), f(0) = f(1) = 1, against the
+  // same recurrence evaluated iteratively in C++. The JIT rejects
+  // recursion, so the interpreter is the only tier that runs these.
+  pyhpc::util::Xoshiro256 rng(555);
+  for (int trial = 0; trial < 10; ++trial) {
+    const std::int64_t k = rng.next_int(2, 4);
+    const std::string rec =
+        "def f(n):\n"
+        "    if n <= 1:\n"
+        "        return 1\n"
+        "    return f(n - 1) + " + std::to_string(k) + " * f(n - 2)\n";
+    const auto n = rng.next_int(3, 12);
+    std::int64_t prev = 1, cur = 1;
+    for (std::int64_t i = 2; i <= n; ++i) {
+      const std::int64_t next = cur + k * prev;
+      prev = cur;
+      cur = next;
+    }
+    EXPECT_EQ(run(rec, "f", {Value::of(n)}).as_int(), cur) << rec;
+  }
 }
 
 TEST(Interp, InfiniteRecursionBounded) {
@@ -253,6 +276,31 @@ TEST(Interp, RuntimeErrorsCarryLines) {
   EXPECT_THROW(run("def f(a):\n    return a[100]\n", "f",
                    {Value::of(sm::ArrayValue::owned({1.0}))}),
                pyhpc::RuntimeFault);
+
+  // A local assigned on one branch only: reading it, alone or as an
+  // operand of `x + y`, faults when the branch did not run. The JIT is
+  // compared on the defined path only: its registers start at zero, so it
+  // does not fault on the undefined one (open item in ROADMAP.md).
+  const std::pair<std::string, std::int64_t> branch_only[] = {
+      {"def f(flag):\n"
+       "    if flag:\n"
+       "        x = 1\n"
+       "    return x\n",
+       1},
+      {"def f(flag):\n"
+       "    x = 1\n"
+       "    if flag:\n"
+       "        y = 2\n"
+       "    return x + y\n",
+       3},
+  };
+  for (const auto& [src, want] : branch_only) {
+    sm::Engine engine(src);
+    EXPECT_EQ(engine.run_interpreted("f", {Value::of(true)}).as_int(), want);
+    EXPECT_EQ(engine.run_jit("f", {Value::of(true)}).as_int(), want);
+    EXPECT_THROW(engine.run_interpreted("f", {Value::of(false)}),
+                 pyhpc::RuntimeFault);
+  }
 }
 
 TEST(Interp, StringsBasics) {

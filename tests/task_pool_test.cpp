@@ -15,11 +15,13 @@
 #include "obs/metrics.hpp"
 #include "odin/dist_array.hpp"
 #include "odin/expr.hpp"
+#include "util/exec_space.hpp"
 #include "util/task_pool.hpp"
 
 namespace pc = pyhpc::comm;
 namespace od = pyhpc::odin;
 namespace pu = pyhpc::util;
+namespace px = pyhpc::util::exec;
 
 namespace {
 
@@ -93,8 +95,8 @@ TEST(TaskPool, ReduceBitIdenticalAcrossThreadCounts) {
   const auto v = nasty_values(100000);
   const std::int64_t n = static_cast<std::int64_t>(v.size());
   auto run_sum = [&] {
-    return pu::parallel_reduce(
-        0, n, 257, 0.0,
+    return px::transform_reduce(
+        px::Space::kTaskPool, 0, n, 257, 0.0,
         [&](std::int64_t lo, std::int64_t hi) {
           double a = 0.0;
           for (std::int64_t i = lo; i < hi; ++i) {
@@ -120,8 +122,8 @@ TEST(TaskPool, ReduceBitIdenticalAcrossThreadCounts) {
 
 TEST(TaskPool, ReduceEmptyRangeReturnsIdentity) {
   ThreadScope scope(4);
-  const double got = pu::parallel_reduce(
-      5, 5, 100, -1.25,
+  const double got = px::transform_reduce(
+      px::Space::kTaskPool, 5, 5, 100, -1.25,
       [](std::int64_t, std::int64_t) { return 0.0; },
       [](double a, double b) { return a + b; });
   EXPECT_DOUBLE_EQ(got, -1.25);
