@@ -384,3 +384,190 @@ TEST_P(CrsRankSweep, CachedImportReusesThePlan) {
     }
   });
 }
+
+// ---------------------------------------------------------------------------
+// Assembly oracle: seeded random insertion streams against a dense reference
+// ---------------------------------------------------------------------------
+
+#include <algorithm>
+
+#include "util/random.hpp"
+
+namespace {
+
+struct Entry {
+  GO row;
+  GO col;
+  double val;
+};
+
+// One seeded insertion stream over an n x n matrix, identical on every
+// rank. Rows mix four patterns: empty, a local band, ghost-heavy (columns
+// scattered over the whole range, so most are owned elsewhere), and a dense
+// stretch; columns come out of order and repeat, so duplicates must add up.
+// Values are multiples of 1/4, so every sum is exact in any order.
+template <class T>
+void shuffle(std::vector<T>& v, pyhpc::util::Xoshiro256& rng) {
+  for (std::size_t i = v.size(); i > 1; --i) {
+    std::swap(v[i - 1], v[static_cast<std::size_t>(rng.next_int(
+                            0, static_cast<std::int64_t>(i) - 1))]);
+  }
+}
+
+std::vector<Entry> assembly_stream(GO n, std::uint64_t seed) {
+  pyhpc::util::Xoshiro256 rng(seed);
+  std::vector<std::vector<Entry>> chunks;
+  for (GO r = 0; r < n; ++r) {
+    const auto pattern = rng.next_int(0, 3);
+    std::vector<GO> cols;
+    if (pattern == 1) {
+      for (GO c = std::max<GO>(0, r - 2); c <= std::min(n - 1, r + 2); ++c) {
+        cols.push_back(c);
+      }
+    } else if (pattern == 2) {
+      for (int k = rng.next_int(1, 8); k > 0; --k) {
+        cols.push_back(rng.next_int(0, n - 1));
+      }
+    } else if (pattern == 3) {
+      const GO lo = rng.next_int(0, n - 1);
+      for (GO c = lo; c < std::min(n, lo + 12); ++c) cols.push_back(c);
+    }
+    for (int d = rng.next_int(0, 3); d > 0 && !cols.empty(); --d) {
+      cols.push_back(cols[static_cast<std::size_t>(
+          rng.next_int(0, static_cast<std::int64_t>(cols.size()) - 1))]);
+    }
+    shuffle(cols, rng);
+    for (std::size_t k = 0; k < cols.size(); k += 3) {
+      std::vector<Entry> chunk;
+      for (std::size_t j = k; j < std::min(cols.size(), k + 3); ++j) {
+        chunk.push_back(
+            Entry{r, cols[j], 0.25 * static_cast<double>(rng.next_int(-8, 8))});
+      }
+      chunks.push_back(std::move(chunk));
+    }
+  }
+  // Rows arrive in interleaved runs of up to three columns each.
+  shuffle(chunks, rng);
+  std::vector<Entry> out;
+  for (const auto& chunk : chunks) out.insert(out.end(), chunk.begin(), chunk.end());
+  return out;
+}
+
+// Assembles the stream on `map` (each rank inserts its own rows, one
+// insert_global_values call per run of consecutive same-row entries) and
+// checks every observable of the
+// fill-complete matrix against the dense reference.
+void check_assembly_oracle(const MapT& map, std::uint64_t seed) {
+  const GO n = map.num_global();
+  const auto stream = assembly_stream(n, seed);
+  std::vector<double> dense(static_cast<std::size_t>(n * n), 0.0);
+  std::vector<char> present(static_cast<std::size_t>(n * n), 0);
+  for (const auto& e : stream) {
+    dense[static_cast<std::size_t>(e.row * n + e.col)] += e.val;
+    present[static_cast<std::size_t>(e.row * n + e.col)] = 1;
+  }
+
+  MatD a(map);
+  for (std::size_t i = 0; i < stream.size();) {
+    const GO row = stream[i].row;
+    std::vector<GO> cols;
+    std::vector<double> vals;
+    for (; i < stream.size() && stream[i].row == row; ++i) {
+      cols.push_back(stream[i].col);
+      vals.push_back(stream[i].val);
+    }
+    if (map.is_local_global_index(row)) a.insert_global_values(row, cols, vals);
+  }
+  a.fill_complete();
+
+  // Rows: exactly the inserted (row, col) pairs, once each, with the sum.
+  std::int64_t want_entries = 0;
+  for (GO r = 0; r < n; ++r) {
+    for (GO c = 0; c < n; ++c) {
+      want_entries += present[static_cast<std::size_t>(r * n + c)];
+    }
+  }
+  EXPECT_EQ(a.num_global_entries(), want_entries);
+  for (LO i = 0; i < map.num_local(); ++i) {
+    const GO g = map.local_to_global(i);
+    std::vector<std::pair<GO, double>> want;
+    for (GO c = 0; c < n; ++c) {
+      if (present[static_cast<std::size_t>(g * n + c)]) {
+        want.emplace_back(c, dense[static_cast<std::size_t>(g * n + c)]);
+      }
+    }
+    EXPECT_EQ(a.get_global_row(g), want) << "row " << g << " seed " << seed;
+  }
+
+  // Column map: owned columns first in row-map order, then every
+  // referenced ghost once, ascending.
+  const auto& cmap = a.col_map();
+  for (LO i = 0; i < map.num_local(); ++i) {
+    EXPECT_EQ(cmap.local_to_global(i), map.local_to_global(i));
+  }
+  std::vector<GO> want_ghosts;
+  for (LO i = 0; i < map.num_local(); ++i) {
+    const GO g = map.local_to_global(i);
+    for (GO c = 0; c < n; ++c) {
+      if (present[static_cast<std::size_t>(g * n + c)] &&
+          !map.is_local_global_index(c)) {
+        want_ghosts.push_back(c);
+      }
+    }
+  }
+  std::sort(want_ghosts.begin(), want_ghosts.end());
+  want_ghosts.erase(std::unique(want_ghosts.begin(), want_ghosts.end()),
+                    want_ghosts.end());
+  std::vector<GO> ghosts;
+  for (LO i = map.num_local(); i < cmap.num_local(); ++i) {
+    ghosts.push_back(cmap.local_to_global(i));
+  }
+  EXPECT_EQ(ghosts, want_ghosts) << "seed " << seed;
+
+  // Diagonal and SpMV against the dense reference.
+  VecD d(map), x(map), y(map);
+  a.get_local_diag_copy(d);
+  for (LO i = 0; i < map.num_local(); ++i) {
+    const GO g = map.local_to_global(i);
+    EXPECT_EQ(d[i], dense[static_cast<std::size_t>(g * n + g)]);
+    x[i] = 0.5 * static_cast<double>(g % 7) - 1.0;
+  }
+  a.apply(x, y);
+  for (LO i = 0; i < map.num_local(); ++i) {
+    const GO g = map.local_to_global(i);
+    double want = 0.0;
+    for (GO c = 0; c < n; ++c) {
+      want += dense[static_cast<std::size_t>(g * n + c)] *
+              (0.5 * static_cast<double>(c % 7) - 1.0);
+    }
+    EXPECT_EQ(y[i], want) << "row " << g << " seed " << seed;
+  }
+}
+
+}  // namespace
+
+class CrsAssemblyOracle : public ::testing::TestWithParam<int> {};
+INSTANTIATE_TEST_SUITE_P(Ranks, CrsAssemblyOracle,
+                         ::testing::Values(1, 2, 3, 4, 7));
+
+TEST_P(CrsAssemblyOracle, UniformMapMatchesDenseReference) {
+  pc::run(GetParam(), [](pc::Communicator& comm) {
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      check_assembly_oracle(MapT::uniform(comm, 41), seed);
+    }
+  });
+}
+
+TEST_P(CrsAssemblyOracle, CyclicMapMatchesDenseReference) {
+  // Non-contiguous row map: owned columns are scattered over the range, so
+  // almost every referenced column is a ghost.
+  pc::run(GetParam(), [](pc::Communicator& comm) {
+    const GO n = 37;
+    std::vector<GO> mine;
+    for (GO g = comm.rank(); g < n; g += comm.size()) mine.push_back(g);
+    const auto map = MapT::from_global_indices(comm, std::span<const GO>(mine));
+    for (std::uint64_t seed = 11; seed <= 14; ++seed) {
+      check_assembly_oracle(map, seed);
+    }
+  });
+}
