@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -92,6 +93,11 @@ class Shape {
   }
   std::vector<index_t> dims_;
 };
+
+/// Streams Shape::to_string() (used by lazily formatted error messages).
+inline std::ostream& operator<<(std::ostream& os, const Shape& shape) {
+  return os << shape.to_string();
+}
 
 /// Python-semantics slice: [start:stop:step] with negatives and omitted
 /// bounds. kNone marks an omitted bound.

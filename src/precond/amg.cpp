@@ -2,17 +2,27 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
-#include <map>
-#include <unordered_map>
+#include <utility>
 
 #include "util/exec_space.hpp"
 #include "util/task_pool.hpp"
 
 namespace pyhpc::precond {
 
+namespace {
+
+// One matrix entry by global indices, as shipped between ranks.
+struct Triple {
+  GO row;
+  GO col;
+  double val;
+};
+
+}  // namespace
+
 AmgPreconditioner::AmgPreconditioner(const Matrix& a, AmgOptions options)
     : options_(options) {
+  obs::Span span("amg.setup", "setup");
   require(options_.max_levels >= 1, "AMG: max_levels must be >= 1");
   require(options_.coarse_size >= 1, "AMG: coarse_size must be >= 1");
   build_hierarchy(std::make_shared<Matrix>(a));
@@ -52,11 +62,6 @@ void AmgPreconditioner::build_hierarchy(std::shared_ptr<Matrix> a) {
   // Replicated dense LU of the coarsest operator.
   const Matrix& coarse = *levels_.back().a;
   const auto n = coarse.row_map().num_global();
-  struct Triple {
-    GO row;
-    GO col;
-    double val;
-  };
   std::vector<Triple> mine;
   for (LO i = 0; i < coarse.num_local_rows(); ++i) {
     const GO g = coarse.row_map().local_to_global(i);
@@ -122,32 +127,19 @@ std::vector<std::int32_t> AmgPreconditioner::aggregate_local(
   return agg;
 }
 
-double AmgPreconditioner::estimate_diag_scaled_lambda_max(
-    const Matrix& a, const Vector& inv_diag) {
-  Vector v(a.range_map());
-  v.randomize(4242);
-  Vector av(a.range_map());
-  double lambda = 1.0;
-  for (int it = 0; it < 10; ++it) {
-    const double nrm = v.norm2();
-    if (nrm == 0.0) break;
-    v.scale(1.0 / nrm);
-    a.apply(v, av);
-    for (LO i = 0; i < av.local_size(); ++i) av[i] *= inv_diag[i];
-    lambda = std::abs(v.dot(av));
-    v.update(1.0, av, 0.0);
-  }
-  return std::max(lambda, 1e-12);
-}
-
 std::shared_ptr<Matrix> AmgPreconditioner::build_transfer_and_coarse(
     Level& level, const std::vector<LO>& agg_of) const {
   const Matrix& a = *level.a;
   const Map& fmap = a.row_map();
   const Map& cmap = *level.coarse_map;
+  const Map& colmap = a.col_map();
   auto& comm = fmap.comm();
   const int nranks = comm.size();
   const LO n = fmap.num_local();
+  const LO ncol = colmap.num_local();
+  const std::int64_t* arp = a.row_ptr().data();
+  const LO* aci = a.col_ind().data();
+  const double* ava = a.values().data();
 
   // Global aggregate id per fine row, ghosted into the column layout so the
   // smoothing sum can see the aggregates of remote neighbours.
@@ -155,78 +147,79 @@ std::shared_ptr<Matrix> AmgPreconditioner::build_transfer_and_coarse(
   for (LO i = 0; i < n; ++i) {
     agg_gid[i] = cmap.local_to_global(agg_of[static_cast<std::size_t>(i)]);
   }
-  tpetra::Vector<GO> agg_gid_ghost(a.col_map());
+  tpetra::Vector<GO> agg_gid_ghost(colmap);
   agg_gid_ghost.do_import(agg_gid, a.importer(), tpetra::CombineMode::kInsert);
 
-  // Prolongator rows as (coarse gid -> weight) maps:
-  //   P(i, :) = e_{agg(i)} - omega * d_i^{-1} * sum_j A(i,j) e_{agg(j)}.
   double omega = 0.0;
   if (options_.prolongator_damping > 0.0) {
     omega = options_.prolongator_damping /
-            estimate_diag_scaled_lambda_max(a, level.inv_diag);
+            std::max(estimate_lambda_max(a, level.inv_diag, 4242), 1e-12);
   }
-  auto row_ptr = a.row_ptr();
-  auto col_ind = a.col_ind();
-  auto vals = a.values();
-  std::vector<std::map<GO, double>> prows(static_cast<std::size_t>(n));
-  for (LO i = 0; i < n; ++i) {
-    auto& row = prows[static_cast<std::size_t>(i)];
-    row[agg_gid[i]] += 1.0;
-    if (omega != 0.0) {
-      for (auto k = row_ptr[static_cast<std::size_t>(i)];
-           k < row_ptr[static_cast<std::size_t>(i) + 1]; ++k) {
-        const GO target = agg_gid_ghost[col_ind[static_cast<std::size_t>(k)]];
-        row[target] -= omega * level.inv_diag[i] *
-                       vals[static_cast<std::size_t>(k)];
-      }
-    }
-  }
-
-  // Compress into local CSR over an overlap map of the referenced coarse
-  // gids (owned aggregates may appear plus remote neighbours).
-  std::vector<GO> referenced;
-  for (const auto& row : prows) {
-    for (const auto& [g, w] : row) referenced.push_back(g);
-  }
+  // P's overlap map: the sorted coarse gids it references (the aggregates
+  // of every column when P is smoothed, else of the owned rows); col_ref[c]
+  // is column c's aggregate as an index into that list.
+  const auto index_in = [](const std::vector<GO>& sorted, GO g) {
+    return static_cast<LO>(std::lower_bound(sorted.begin(), sorted.end(), g) -
+                           sorted.begin());
+  };
+  const auto aggs = agg_gid_ghost.local_view().first(
+      static_cast<std::size_t>(omega != 0.0 ? ncol : n));
+  std::vector<GO> referenced(aggs.begin(), aggs.end());
   std::sort(referenced.begin(), referenced.end());
   referenced.erase(std::unique(referenced.begin(), referenced.end()),
                    referenced.end());
-  std::unordered_map<GO, LO> ref_index;
-  ref_index.reserve(referenced.size());
-  for (std::size_t k = 0; k < referenced.size(); ++k) {
-    ref_index.emplace(referenced[k], static_cast<LO>(k));
+  std::vector<LO> col_ref(aggs.size());
+  for (std::size_t c = 0; c < aggs.size(); ++c) {
+    col_ref[c] = index_in(referenced, aggs[c]);
   }
 
+  // Sparse accumulator shared by P and the Galerkin product: `row` holds
+  // one row's (id, sum) entries, mark[id] the id's position in it (-1 when
+  // absent); every sum runs in call order.
+  std::vector<std::pair<LO, double>> row;
+  std::vector<std::int64_t> mark(referenced.size(), -1);
+  const auto accumulate = [&](LO id, double v) {
+    auto& m = mark[static_cast<std::size_t>(id)];
+    if (m < 0) {
+      m = static_cast<std::int64_t>(row.size());
+      row.emplace_back(id, 0.0);
+    }
+    row[static_cast<std::size_t>(m)].second += v;
+  };
+
+  // Prolongator rows, sorted by coarse gid:
+  //   P(i, :) = e_{agg(i)} - omega * d_i^{-1} * sum_j A(i,j) e_{agg(j)}.
   Prolongator& p = level.p;
   p.row_ptr.assign(static_cast<std::size_t>(n) + 1, 0);
   for (LO i = 0; i < n; ++i) {
-    p.row_ptr[static_cast<std::size_t>(i) + 1] =
-        p.row_ptr[static_cast<std::size_t>(i)] +
-        static_cast<std::int64_t>(prows[static_cast<std::size_t>(i)].size());
-  }
-  p.col.resize(static_cast<std::size_t>(p.row_ptr.back()));
-  p.val.resize(static_cast<std::size_t>(p.row_ptr.back()));
-  for (LO i = 0; i < n; ++i) {
-    std::size_t k = static_cast<std::size_t>(p.row_ptr[static_cast<std::size_t>(i)]);
-    for (const auto& [g, w] : prows[static_cast<std::size_t>(i)]) {
-      p.col[k] = ref_index.at(g);
-      p.val[k] = w;
-      ++k;
+    accumulate(col_ref[static_cast<std::size_t>(i)], 1.0);
+    for (auto k = arp[i]; omega != 0.0 && k < arp[i + 1]; ++k) {
+      accumulate(col_ref[static_cast<std::size_t>(aci[k])],
+                 -(omega * level.inv_diag[i] * ava[k]));
     }
+    std::sort(row.begin(), row.end());
+    for (const auto& [r, w] : row) {
+      p.col.push_back(r);
+      p.val.push_back(w);
+      mark[static_cast<std::size_t>(r)] = -1;
+    }
+    row.clear();
+    p.row_ptr[static_cast<std::size_t>(i) + 1] =
+        static_cast<std::int64_t>(p.col.size());
   }
   p.overlap_map = std::make_shared<Map>(
       Map::from_global_indices(comm, std::span<const GO>(referenced)));
   p.import_plan = std::make_shared<tpetra::Import<>>(cmap, *p.overlap_map);
+  const std::int64_t* prp = p.row_ptr.data();
+  const LO* pci = p.col.data();
+  const double* pva = p.val.data();
 
   // ---- Galerkin A_c = P^T A P -------------------------------------------
   // Ghost fine rows' P entries are needed for the j side of the product:
   // request them from their owners.
-  const Map& colmap = a.col_map();
   std::vector<std::vector<GO>> requests(static_cast<std::size_t>(nranks));
   std::vector<GO> ghost_gids;
-  for (LO c = n; c < colmap.num_local(); ++c) {
-    ghost_gids.push_back(colmap.local_to_global(c));
-  }
+  for (LO c = n; c < ncol; ++c) ghost_gids.push_back(colmap.local_to_global(c));
   auto owners = fmap.remote_index_list(std::span<const GO>(ghost_gids));
   for (std::size_t k = 0; k < ghost_gids.size(); ++k) {
     require<MapError>(owners[k].first >= 0, "AMG: unowned ghost fine index");
@@ -235,82 +228,80 @@ std::shared_ptr<Matrix> AmgPreconditioner::build_transfer_and_coarse(
   }
   auto incoming_requests = comm.alltoallv(requests);
 
-  struct PEntry {
-    GO fine;
-    GO coarse;
-    double w;
-  };
-  std::vector<std::vector<PEntry>> replies(static_cast<std::size_t>(nranks));
+  std::vector<std::vector<Triple>> replies(static_cast<std::size_t>(nranks));
   for (int r = 0; r < nranks; ++r) {
     for (GO fine : incoming_requests[static_cast<std::size_t>(r)]) {
       const LO li = fmap.global_to_local(fine);
       require<MapError>(li != tpetra::kInvalidLocal<LO>,
                         "AMG: P-row request for non-owned fine index");
-      for (auto k = p.row_ptr[static_cast<std::size_t>(li)];
-           k < p.row_ptr[static_cast<std::size_t>(li) + 1]; ++k) {
-        replies[static_cast<std::size_t>(r)].push_back(PEntry{
-            fine,
-            p.overlap_map->local_to_global(p.col[static_cast<std::size_t>(k)]),
-            p.val[static_cast<std::size_t>(k)]});
+      for (auto k = prp[li]; k < prp[li + 1]; ++k) {
+        replies[static_cast<std::size_t>(r)].push_back(
+            Triple{fine, referenced[static_cast<std::size_t>(pci[k])], pva[k]});
       }
     }
   }
   auto incoming_rows = comm.alltoallv(replies);
-  std::unordered_map<GO, std::vector<std::pair<GO, double>>> ghost_prows;
+
+  // The P rows of every column of A (owned rows, then ghost rows in
+  // arrival order) as one CSR over `ext`: the referenced gids plus those
+  // only the ghost rows reach.
+  std::vector<GO> ext = referenced;
+  std::vector<std::int64_t> xptr(static_cast<std::size_t>(ncol) + 2, 0);
+  for (LO i = 0; i < n; ++i) xptr[static_cast<std::size_t>(i) + 2] = prp[i + 1] - prp[i];
   for (const auto& part : incoming_rows) {
     for (const auto& e : part) {
-      ghost_prows[e.fine].emplace_back(e.coarse, e.w);
+      ext.push_back(e.col);
+      ++xptr[static_cast<std::size_t>(colmap.global_to_local(e.row)) + 2];
+    }
+  }
+  std::sort(ext.begin(), ext.end());
+  ext.erase(std::unique(ext.begin(), ext.end()), ext.end());
+  for (std::size_t c = 2; c < xptr.size(); ++c) xptr[c] += xptr[c - 1];
+  std::vector<std::pair<LO, double>> xp(static_cast<std::size_t>(xptr.back()));
+  const auto put = [&](LO c, GO coarse, double w) {
+    xp[static_cast<std::size_t>(xptr[static_cast<std::size_t>(c) + 1]++)] = {
+        index_in(ext, coarse), w};
+  };
+  for (const auto& part : incoming_rows) {
+    for (const auto& e : part) put(colmap.global_to_local(e.row), e.col, e.val);
+  }
+  // ... and P^T: per referenced id, its fine rows (ascending) and weights.
+  std::vector<std::int64_t> pt_ptr(referenced.size() + 2, 0);
+  for (LO c : p.col) ++pt_ptr[static_cast<std::size_t>(c) + 2];
+  for (std::size_t r = 2; r < pt_ptr.size(); ++r) pt_ptr[r] += pt_ptr[r - 1];
+  std::vector<std::pair<LO, double>> pt(p.col.size());
+  for (LO i = 0; i < n; ++i) {
+    for (auto k = prp[i]; k < prp[i + 1]; ++k) {
+      put(i, referenced[static_cast<std::size_t>(pci[k])], pva[k]);
+      pt[static_cast<std::size_t>(pt_ptr[static_cast<std::size_t>(pci[k]) + 1]++)] = {i, pva[k]};
     }
   }
 
-  // Accumulate triple-product contributions; rows of A_c may belong to
-  // remote ranks (smoothed P couples local fine rows to remote aggregates),
-  // so route triples by owner before insertion.
-  struct Triple {
-    GO row;
-    GO col;
-    double val;
-  };
+  // Row K of this rank's contribution, sum_i P(i,K) sum_j A(i,j) P(j,:),
+  // through a dense marker over the ext ids; each (K, L) sum runs over
+  // (i, j) in ascending order. Rows of A_c may belong to remote ranks
+  // (smoothed P couples local fine rows to remote aggregates), so they
+  // are routed to their owner before insertion.
   std::vector<std::vector<Triple>> outgoing(static_cast<std::size_t>(nranks));
-  // Local accumulation map to compress duplicates before shipping.
-  std::map<std::pair<GO, GO>, double> acc;
-
-  auto p_row_of_local = [&](LO i) {
-    std::vector<std::pair<GO, double>> out;
-    for (auto k = p.row_ptr[static_cast<std::size_t>(i)];
-         k < p.row_ptr[static_cast<std::size_t>(i) + 1]; ++k) {
-      out.emplace_back(
-          p.overlap_map->local_to_global(p.col[static_cast<std::size_t>(k)]),
-          p.val[static_cast<std::size_t>(k)]);
-    }
-    return out;
-  };
-
-  for (LO i = 0; i < n; ++i) {
-    const auto pi = p_row_of_local(i);
-    for (auto k = row_ptr[static_cast<std::size_t>(i)];
-         k < row_ptr[static_cast<std::size_t>(i) + 1]; ++k) {
-      const LO cj = col_ind[static_cast<std::size_t>(k)];
-      const double aij = vals[static_cast<std::size_t>(k)];
-      const std::vector<std::pair<GO, double>>* pj = nullptr;
-      std::vector<std::pair<GO, double>> pj_local;
-      if (cj < n) {
-        pj_local = p_row_of_local(cj);
-        pj = &pj_local;
-      } else {
-        pj = &ghost_prows.at(colmap.local_to_global(cj));
-      }
-      for (const auto& [bigK, pik] : pi) {
-        for (const auto& [bigL, pjl] : *pj) {
-          acc[{bigK, bigL}] += pik * aij * pjl;
+  mark.assign(ext.size(), -1);
+  for (std::size_t r = 0; r < referenced.size(); ++r) {
+    for (auto t = pt_ptr[r]; t < pt_ptr[r + 1]; ++t) {
+      const auto [i, pik] = pt[static_cast<std::size_t>(t)];
+      for (auto k = arp[i]; k < arp[i + 1]; ++k) {
+        const double w = pik * ava[k];
+        for (auto q = xptr[static_cast<std::size_t>(aci[k])];
+             q < xptr[static_cast<std::size_t>(aci[k]) + 1]; ++q) {
+          accumulate(xp[static_cast<std::size_t>(q)].first,
+                     w * xp[static_cast<std::size_t>(q)].second);
         }
       }
     }
-  }
-  for (const auto& [key, v] : acc) {
-    const int owner = cmap.owner_of(key.first);
-    outgoing[static_cast<std::size_t>(owner)].push_back(
-        Triple{key.first, key.second, v});
+    auto& out = outgoing[static_cast<std::size_t>(cmap.owner_of(referenced[r]))];
+    for (const auto& [l, v] : row) {
+      out.push_back(Triple{referenced[r], ext[static_cast<std::size_t>(l)], v});
+      mark[static_cast<std::size_t>(l)] = -1;
+    }
+    row.clear();
   }
   auto incoming_triples = comm.alltoallv(outgoing);
 

@@ -20,6 +20,7 @@
 
 #include "comm/communicator.hpp"
 #include "comm/message.hpp"
+#include "obs/trace.hpp"
 #include "tpetra/map.hpp"
 
 namespace pyhpc::tpetra {
@@ -80,6 +81,7 @@ class Import {
   /// exactly one rank); `target` may overlap ranks arbitrarily.
   Import(const Map<LO, GO>& source, const Map<LO, GO>& target)
       : source_(source), target_(target) {
+    obs::Span span("import.build", "setup");
     std::vector<GO> remote_gids;
     std::vector<LO> remote_tlids;
     const LO tn = target.num_local();
@@ -109,8 +111,8 @@ class Import {
     for (std::size_t i = 0; i < remote_gids.size(); ++i) {
       const auto [owner, slid] = owners[i];
       require<MapError>(owner >= 0,
-                        util::cat("Import: global index ", remote_gids[i],
-                                  " is owned by no rank of the source map"));
+                        "Import: global index ", remote_gids[i],
+                        " is owned by no rank of the source map");
       requests[static_cast<std::size_t>(owner)].push_back(
           Request{remote_gids[i], slid});
       recv_lids_[static_cast<std::size_t>(owner)].push_back(remote_tlids[i]);

@@ -81,8 +81,8 @@ class Map {
       require(m.gids_[i] >= 0, "Map: negative global index");
       const bool inserted =
           m.g2l_.emplace(m.gids_[i], static_cast<LO>(i)).second;
-      require(inserted, util::cat("Map: duplicate global index ", m.gids_[i],
-                                  " on rank ", comm.rank()));
+      require(inserted, "Map: duplicate global index ", m.gids_[i],
+              " on rank ", comm.rank());
     }
     GO local_max = -1;
     for (GO g : m.gids_) local_max = std::max(local_max, g);
@@ -146,8 +146,8 @@ class Map {
 
   GO local_to_global(LO lid) const {
     require<MapError>(lid >= 0 && lid < num_local(),
-                      util::cat("local_to_global: lid ", lid,
-                                " out of range [0, ", num_local(), ")"));
+                      "local_to_global: lid ", lid, " out of range [0, ",
+                      num_local(), ")");
     if (contiguous_) {
       return offsets_[static_cast<std::size_t>(rank())] + lid;
     }
@@ -168,7 +168,7 @@ class Map {
   int owner_of(GO gid) const {
     require<MapError>(contiguous_, "owner_of: map not contiguous");
     require<MapError>(gid >= 0 && gid < num_global_,
-                      util::cat("owner_of: gid ", gid, " out of range"));
+                      "owner_of: gid ", gid, " out of range");
     const auto it = std::upper_bound(offsets_.begin(), offsets_.end(), gid);
     return static_cast<int>(it - offsets_.begin()) - 1;
   }
